@@ -21,6 +21,7 @@ Quickstart::
 
 from .core import (
     Balancer,
+    CountOverflowError,
     Network,
     NetworkBuilder,
     identity_network,
@@ -64,6 +65,7 @@ __version__ = "1.0.0"
 
 __all__ = [
     "Balancer",
+    "CountOverflowError",
     "Network",
     "NetworkBuilder",
     "identity_network",

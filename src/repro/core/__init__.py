@@ -11,6 +11,7 @@ from .bitplan import (
     unpack_zero_one,
 )
 from .plan import ExecutionPlan, PlanExecutor, lower_network, plan_executor
+from .semantics import CountOverflowError
 from .cache import PlanCache, cached_network, cached_plan, code_version_hash, default_cache
 from .compose import parallel, repeat, serial
 from . import sequences
@@ -33,6 +34,7 @@ __all__ = [
     "PlanExecutor",
     "lower_network",
     "plan_executor",
+    "CountOverflowError",
     "PlanCache",
     "cached_network",
     "cached_plan",

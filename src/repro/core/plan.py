@@ -26,7 +26,12 @@ further, to an :class:`ExecutionPlan`:
 * a :class:`PlanExecutor` owns a reusable scratch-buffer pool (shared
   across the semantics of one network/backend pair) so steady-state
   evaluation allocates **nothing** per call, and optionally shards large
-  batches over a process pool (``run_parallel``).
+  batches over a process pool (``run_parallel``);
+* each batch is evaluated in the narrowest dtype its values allow (see
+  :meth:`~repro.core.semantics.Semantics.prepare`) and swept in row tiles
+  of about :data:`TILE_BUDGET` bytes of state, so the working set stays
+  near the cache instead of streaming ``num_wires × batch`` int64 words
+  through memory once per layer.
 
 Lowering results are memoized per :class:`~repro.core.network.Network`
 instance (``WeakKeyDictionary``), mirroring :func:`compile_network`; plans
@@ -59,6 +64,15 @@ __all__ = [
 
 #: Execution backends a :class:`PlanExecutor` can run.
 BACKENDS = ("int64", "bitsliced")
+
+#: Bytes of wire state per row tile of the int64 backend.  Measured on
+#: 8192-row batches of width-60 networks (2 MiB L2 per core): 1 MiB tiles
+#: ran ~1.5x slower (the per-segment Python calls are paid per tile),
+#: untiled ~1.5x slower at 3x the peak memory; see docs/performance.md.
+TILE_BUDGET = 4 << 20
+
+#: Smallest row tile, however many wires a plan has.
+_MIN_TILE_ROWS = 64
 
 #: Arrays that round-trip a plan through ``np.savez`` (see ``to_arrays``).
 _ARRAY_FIELDS = (
@@ -280,25 +294,41 @@ def plan_executor(
     return ex
 
 
+def _head(a: np.ndarray, rows: int) -> np.ndarray:
+    """The first ``a.shape[0] * rows`` elements of C-contiguous ``a``,
+    viewed as a contiguous ``(a.shape[0], rows)`` array."""
+    return a.reshape(-1)[: a.shape[0] * rows].reshape(a.shape[0], rows)
+
+
 class _Scratch:
-    """One ``(batch, dtype)``'s worth of reusable evaluation buffers."""
+    """One ``(rows, dtype)``'s worth of reusable evaluation buffers."""
 
     __slots__ = ("state", "gather", "totals", "numeric", "last_used")
 
-    def __init__(self, plan: ExecutionPlan, batch: int, dtype: np.dtype) -> None:
+    def __init__(self, plan: ExecutionPlan, rows: int, dtype: np.dtype) -> None:
         sizes = plan.seg_width * plan.seg_count
         max_flat = int(sizes.max()) if sizes.size else 0
         max_count = int(plan.seg_count.max()) if plan.seg_count.size else 0
         # No zero-init needed: every wire read is either a network input
         # (written from x) or a segment output (written before any reader,
         # by topological layer order).
-        self.state = np.empty((plan.num_wires, batch), dtype=dtype)
-        self.gather = np.empty((max_flat, batch), dtype=dtype)
-        self.totals = np.empty((max_count, batch), dtype=dtype)
+        self.state = np.empty((plan.num_wires, rows), dtype=dtype)
+        self.gather = np.empty((max_flat, rows), dtype=dtype)
+        self.totals = np.empty((max_count, rows), dtype=dtype)
         # Whether the branchless min/max width-2 kernel applies (sort
         # semantics falls back to the generic sort kernel for e.g. str_).
         self.numeric = dtype.kind in "biufc"
         self.last_used = 0
+
+    def head(self, rows: int) -> "_Scratch":
+        """The same memory as a contiguous scratch of fewer ``rows`` (a
+        batch's tail tile), so a tail never takes a pool slot of its own."""
+        view = object.__new__(_Scratch)
+        view.state = _head(self.state, rows)
+        view.gather = _head(self.gather, rows)
+        view.totals = _head(self.totals, rows)
+        view.numeric = self.numeric
+        return view
 
 
 class _BitScratch:
@@ -316,7 +346,7 @@ class _BitScratch:
 class _ScratchPool:
     """The LRU scratch-buffer pool, shareable between executors.
 
-    Keys are ``(batch, dtype)`` for int64/typed scratch and word counts
+    Keys are ``(rows, dtype)`` for int64/typed scratch and word counts
     for bit-sliced scratch.  ``plan_executor`` hands one pool to every
     semantics of a ``(network, backend)`` pair, so e.g. the count and
     sort executors of one served network reuse the same warm buffers.
@@ -346,15 +376,15 @@ class _ScratchPool:
             name = "plan.buffer_reuses" if hit else "plan.buffer_allocs"
             default_registry().counter(name).inc()
 
-    def scratch(self, plan: ExecutionPlan, batch: int, dtype: np.dtype) -> _Scratch:
+    def scratch(self, plan: ExecutionPlan, rows: int, dtype: np.dtype) -> _Scratch:
         self._clock += 1
-        key = (batch, dtype.str)
+        key = (rows, dtype.str)
         s = self._pool.get(key)
         if s is None:
             if len(self._pool) >= self.max_pooled:
                 evict = min(self._pool, key=lambda k: self._pool[k].last_used)
                 del self._pool[evict]
-            s = _Scratch(plan, batch, dtype)
+            s = _Scratch(plan, rows, dtype)
             self._pool[key] = s
         self._count_hit_miss(hit=s.last_used > 0)
         s.last_used = self._clock
@@ -377,10 +407,17 @@ class _ScratchPool:
 class PlanExecutor:
     """Evaluates an :class:`ExecutionPlan` with zero steady-state allocation.
 
-    Scratch buffers are pooled per batch size (a handful of distinct batch
-    sizes in practice — the serving path always evaluates one step vector);
-    repeated calls with a seen batch size allocate nothing.  The pool keeps
-    at most ``max_pooled`` batch sizes, evicting least-recently-used.
+    Scratch buffers are pooled per ``(rows, dtype)``: a batch is evaluated
+    in the narrowest dtype its values allow (int8 to int64 for counts and
+    tokens, the narrowest integer type holding ``[min, max]`` for integer
+    sorts; results are cast back, so they are byte-identical to an int64
+    evaluation) and swept in row tiles of about :data:`TILE_BUDGET` bytes
+    of wire state.  ``rows`` is the tile, or the whole batch when smaller;
+    a tail tile runs in a view of the full tile's buffers.  Repeated calls
+    with a seen batch size and value range allocate nothing.  The pool
+    keeps at most ``max_pooled`` keys, evicting least-recently-used.  A
+    count/token row sum int64 cannot hold raises
+    :class:`~repro.core.semantics.CountOverflowError`.
 
     ``buffer_allocs`` / ``buffer_reuses`` count pool misses/hits; they are
     plain attributes (always maintained) and are mirrored into the obs
@@ -418,6 +455,20 @@ class PlanExecutor:
         self.semantics = get_semantics(semantics)
         self.pool = pool if pool is not None else _ScratchPool(max_pooled)
         self.batches = 0
+        # Segment table as Python ints: (p, k, in offset, out base), layer.
+        widths = plan.seg_width.tolist()
+        self._segments = tuple(zip(
+            widths, plan.seg_count.tolist(),
+            plan.seg_in_off[:-1].tolist(), plan.seg_out_base.tolist(),
+        ))
+        self._segment_layers = plan.seg_layer.tolist()
+        # Per-batch dtype choice and tiling, precomputed so that the hot
+        # path only compares numbers.
+        self._limits = self.semantics.limits(plan.width, max(widths, default=1))
+        # Tile rows for itemsize n: max(64, TILE_BUDGET // (num_wires * n)).
+        self._budget_rows = TILE_BUDGET // plan.num_wires
+        # (dtype, tiles) of the last int64-backend run, for spans.
+        self._last_eval = (None, 0)
         self._bitplan = BitPlan(plan) if backend == "bitsliced" else None
         self._workers_pool = None
         self._workers_n = 0
@@ -437,10 +488,11 @@ class PlanExecutor:
         return self.pool.buffer_reuses
 
     def scratch_stats(self) -> dict:
-        """Pool accounting: sizes held, allocs, reuses, batches run."""
+        """Pool accounting: keys held, allocs, reuses, batches run."""
         return {
             "pooled_batch_sizes": sorted({b for b, _ in self.pool._pool})
             + sorted(self.pool._bit_pool),
+            "pooled_keys": sorted((b, np.dtype(d).name) for b, d in self.pool._pool),
             "buffer_allocs": self.pool.buffer_allocs,
             "buffer_reuses": self.pool.buffer_reuses,
             "batches": self.batches,
@@ -451,12 +503,14 @@ class PlanExecutor:
     # -- evaluation ---------------------------------------------------------
 
     def run(self, x: np.ndarray, layer_times: np.ndarray | None = None) -> np.ndarray:
-        """Evaluate a ``(B, width)`` int64 batch of non-negative counts.
+        """Evaluate a ``(B, width)`` batch: non-negative counts for the
+        count and token semantics, any sortable values for sort.
 
         Returns a fresh ``(B, width)`` output array (the only allocation in
-        steady state).  When ``layer_times`` (a float64 array of length
-        ``depth``) is given, per-layer wall-clock seconds are accumulated
-        into it; the arithmetic is identical either way.
+        steady state): int64 for counts and tokens, the input's dtype for
+        sort.  When ``layer_times`` (a float64 array of length ``depth``)
+        is given, per-layer wall-clock seconds are accumulated into it,
+        summed over row tiles; the arithmetic is identical either way.
         """
         if not _obs.enabled:
             return self._run_impl(x, layer_times)
@@ -482,6 +536,9 @@ class PlanExecutor:
         except Exception:
             rec.finish(span, "error")
             raise
+        if self.backend == "int64":
+            dtype, span.fields["tiles"] = self._last_eval
+            span.fields["dtype"] = dtype.name
         rec.finish(span, "ok")
         return out
 
@@ -494,38 +551,36 @@ class PlanExecutor:
             packed, batch = pack_zero_one(x)
             out = self._run_packed_impl(packed, layer_times)
             return unpack_zero_one(out, batch)
-        sem = self.semantics
-        x = sem.prepare(x)
+        x, dtype = self.semantics.prepare(x, self._limits)
         batch = x.shape[0]
         self.batches += 1
-        s = self.pool.scratch(plan, batch, x.dtype)
+        tile = max(_MIN_TILE_ROWS, self._budget_rows // dtype.itemsize)
+        rows = min(batch, tile)
+        s = self.pool.scratch(plan, rows, dtype)
+        self._last_eval = (dtype, -(-batch // tile))
+        out = np.empty((batch, plan.width), dtype=x.dtype)
+        for r0 in range(0, batch, tile):
+            xt = x[r0 : r0 + tile]
+            st = s if xt.shape[0] == rows else s.head(xt.shape[0])
+            self._sweep(st, xt, layer_times)
+            out[r0 : r0 + tile] = st.state[plan.output_idx].T
+        return out
+
+    def _sweep(self, s: _Scratch, x: np.ndarray, layer_times: np.ndarray | None) -> None:
+        """Evaluate the rows of ``x`` (at most the scratch's) into ``s.state``."""
+        plan = self.plan
         state = s.state
         state[plan.input_idx] = x.T
-
-        segment = sem.segment
-        seg_width = plan.seg_width
-        seg_count = plan.seg_count
-        seg_in_off = plan.seg_in_off
-        seg_out_base = plan.seg_out_base
+        segment = self.semantics.segment
         in_flat = plan.in_flat
         if layer_times is None:
-            for i in range(plan.num_segments):
-                segment(
-                    state, s, in_flat,
-                    int(seg_width[i]), int(seg_count[i]),
-                    int(seg_in_off[i]), int(seg_out_base[i]),
-                )
+            for p, k, off, ob in self._segments:
+                segment(state, s, in_flat, p, k, off, ob)
         else:
-            seg_layer = plan.seg_layer
-            for i in range(plan.num_segments):
+            for (p, k, off, ob), layer in zip(self._segments, self._segment_layers):
                 t0 = time.perf_counter()
-                segment(
-                    state, s, in_flat,
-                    int(seg_width[i]), int(seg_count[i]),
-                    int(seg_in_off[i]), int(seg_out_base[i]),
-                )
-                layer_times[int(seg_layer[i])] += time.perf_counter() - t0
-        return state[plan.output_idx].T.copy()
+                segment(state, s, in_flat, p, k, off, ob)
+                layer_times[layer] += time.perf_counter() - t0
 
     # -- bit-sliced evaluation ----------------------------------------------
 
@@ -574,8 +629,8 @@ class PlanExecutor:
         pool = self._ensure_pool(workers)
         if pool is None:
             return self.run(x)
-        x = np.ascontiguousarray(x, dtype=np.int64)
-        shards = np.array_split(x, workers)
+        # Each worker's semantics casts and narrows its shard like ``run``.
+        shards = np.array_split(np.ascontiguousarray(x), workers)
         if _obs.enabled:
             from ..obs.metrics import default_registry
 

@@ -10,14 +10,14 @@ kernel object:
 ``CountSemantics``
     The quiescent-count transfer ``out[j] = ceil((T - j) / p)``: the
     branchless width-2 shift kernel plus the general in-place
-    floor-divide kernel (the PR-4 kernels, moved here verbatim).
+    floor-divide kernel (a shift for power-of-two widths).
 ``SortSemantics``
     Descending compare-exchange: width-2 balancers become a branchless
     ``np.maximum`` / ``np.minimum`` pair, general ``p``-comparators an
-    in-place ascending sort read out in reverse.  The evaluation dtype is
-    the *input's* dtype — sorting floats or int8 0-1 vectors through the
-    int64 count kernels would corrupt them, so the executor's scratch
-    pool keys buffers by ``(batch, dtype)``.
+    in-place ascending sort read out in reverse.  The evaluation dtype
+    follows the *input's* dtype — sorting floats or int8 0-1 vectors
+    through the int64 count kernels would corrupt them, so the executor's
+    scratch pool keys buffers by ``(rows, dtype)``.
 ``TokenSemantics``
     The asynchronous balancer stepped to quiescence in batch: each
     balancer's state is its arrival count, token ``i`` leaves on port
@@ -28,6 +28,19 @@ kernel object:
     quiescence argument, and the differential suite pins it), but
     computed as explicit mod-``p`` state so the kernel is the batched
     form of :class:`~repro.sim.token_sim.TokenSimulator`'s hop rule.
+
+**Narrow evaluation dtypes.**  :meth:`Semantics.prepare` picks the
+dtype each batch is evaluated in, from the batch itself.  Balancers
+conserve tokens, so no wire of a count or token evaluation ever holds more
+than its row's input sum: those run in the narrowest *signed* type with
+room for the row sum plus the widest balancer's ``p - 1`` rounding
+headroom, and a row sum past int64 raises
+:class:`CountOverflowError` instead of wrapping.  Comparators only move
+values, so integer sorts run in the narrowest signed or unsigned type that
+holds the batch's ``[min, max]``.  The executor casts results back (int64
+counts, the caller's dtype for sorts), so outputs are byte-identical to an
+int64 evaluation while the kernels move a half to an eighth of the bytes
+whenever the values allow.
 
 Every semantics also carries the per-balancer **override sweep** used for
 :class:`repro.faults.FaultyNetwork` mutants, whose behavior (e.g. a stuck
@@ -41,6 +54,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "CountOverflowError",
     "SEMANTICS",
     "Semantics",
     "CountSemantics",
@@ -52,41 +66,84 @@ __all__ = [
 #: Execution semantics a :class:`~repro.core.plan.PlanExecutor` can run.
 SEMANTICS = ("count", "sort", "token")
 
+_INT64 = np.dtype(np.int64)
+
+#: Count/token evaluation dtypes, narrowest first.  Signed only, so that a
+#: kernel may form a difference such as ``rem - j`` without wrapping (the
+#: present ones stay non-negative); the one bit of range is cheap.
+_COUNT_DTYPES = tuple(
+    (np.dtype(t), int(np.iinfo(t).max)) for t in (np.int8, np.int16, np.int32, np.int64)
+)
+
+#: Sort evaluation dtypes for integer batches, narrowest first, with the
+#: value range each holds.
+_SORT_DTYPES = tuple(
+    (np.dtype(t), int(np.iinfo(t).min), int(np.iinfo(t).max))
+    for t in (
+        np.int8, np.uint8, np.int16, np.uint16,
+        np.int32, np.uint32, np.int64, np.uint64,
+    )
+)
+
+
+class CountOverflowError(OverflowError):
+    """A count/token batch whose token totals int64 cannot hold.
+
+    Raised when some row's input sum plus the widest balancer's rounding
+    headroom exceeds ``2**63 - 1``: every wire of that row may carry up to
+    the row sum, and int64 arithmetic would silently wrap it."""
+
 
 class Semantics:
     """One balancer transfer function, vectorized over plan segments.
 
     Subclasses implement :meth:`segment` — evaluate one ``(layer, width)``
-    segment of ``k`` balancers of width ``p`` in place — plus
-    :meth:`prepare` (input casting policy) and :meth:`apply_overridden`
-    (the per-balancer fault sweep).  Instances are stateless singletons
-    shared by every executor; the only mutable member is the tiny
-    per-width offset-column cache.
+    segment of ``k`` balancers of width ``p`` in place, in whatever
+    integer (or caller) dtype the state has — plus :meth:`prepare` (the
+    casting and dtype-narrowing policy, fed by the per-executor
+    :meth:`limits` table) and :meth:`apply_overridden` (the per-balancer
+    fault sweep).  Instances are stateless singletons shared by every
+    executor; the only mutable member is the tiny per-``(width, dtype)``
+    offset-column cache.
 
-    Kernel gathers use ``np.take(..., mode="clip")``: the default
+    Kernel gathers use ``ndarray.take(..., mode="clip")``: the default
     ``mode="raise"`` spends a full extra pass bounds-checking the index
     array (~3x the gather cost at plan scale), and every plan index is
     already validated once at lowering/deserialization time
-    (:meth:`~repro.core.plan.ExecutionPlan._validate`).
+    (:meth:`~repro.core.plan.ExecutionPlan._validate`).  The method, not
+    ``np.take``, whose Python wrapper costs three interpreter frames per
+    segment and row tile.
     """
 
     #: Registry name; also stamped into spans, cache keys and stats.
     name = "semantics"
 
     def __init__(self) -> None:
-        # Per-width position column (p, 1, 1), shared across executors.
-        self._offsets: dict[int, np.ndarray] = {}
+        # Per-(width, dtype) position column (p, 1, 1), shared across
+        # executors; typed so that no kernel upcasts to int64.
+        self._offsets: dict[tuple[int, np.dtype], np.ndarray] = {}
 
-    def _offset_col(self, p: int) -> np.ndarray:
-        col = self._offsets.get(p)
+    def _offset_col(self, p: int, dtype: np.dtype) -> np.ndarray:
+        col = self._offsets.get((p, dtype))
         if col is None:
-            col = np.arange(p, dtype=np.int64)[:, None, None]
-            self._offsets[p] = col
+            col = self._offset_values(p).astype(dtype)[:, None, None]
+            self._offsets[(p, dtype)] = col
         return col
 
-    def prepare(self, x: np.ndarray) -> np.ndarray:
-        """Cast a validated ``(B, w)`` batch to the evaluation dtype."""
-        return np.ascontiguousarray(x, dtype=np.int64)
+    def _offset_values(self, p: int) -> np.ndarray:
+        """Port ``j``'s entry of the offset column (``j`` itself)."""
+        return np.arange(p)
+
+    def limits(self, width: int, max_p: int) -> tuple:
+        """The narrowing table :meth:`prepare` consults, computed once per
+        executor for a plan of ``width`` inputs and widest balancer
+        ``max_p``."""
+        return ()
+
+    def prepare(self, x: np.ndarray, limits: tuple) -> tuple[np.ndarray, np.dtype]:
+        """Cast a validated ``(B, w)`` batch to its output dtype and pick
+        the dtype it is evaluated in."""
+        raise NotImplementedError
 
     def segment(self, state, scratch, in_flat, p: int, k: int, off: int, ob: int) -> None:
         raise NotImplementedError
@@ -95,15 +152,50 @@ class Semantics:
         raise NotImplementedError
 
 
-class CountSemantics(Semantics):
+class _ConservingSemantics(Semantics):
+    """Shared dtype policy of the two token-conserving semantics."""
+
+    def limits(self, width: int, max_p: int) -> tuple:
+        # A wire holds at most its row's sum T; the kernels' largest
+        # intermediate is T + p - 1 (the count kernel's rounding offset).
+        return width, max_p, tuple((dt, top - max_p) for dt, top in _COUNT_DTYPES)
+
+    def prepare(self, x: np.ndarray, limits: tuple) -> tuple[np.ndarray, np.dtype]:
+        x = np.ascontiguousarray(x, dtype=np.int64)
+        # Negative counts are outside every caller's contract (the public
+        # evaluators reject them); they keep plain int64 arithmetic.
+        if not x.size or int(np.minimum.reduce(x, axis=None)) < 0:
+            return x, _INT64
+        width, max_p, table = limits
+        # Bound the row sums without wrapping first (Python ints), and
+        # only sum exactly in arbitrary precision when the bound fails.
+        if int(np.maximum.reduce(x, axis=None)) * width <= table[-1][1]:
+            total = int(np.maximum.reduce(np.add.reduce(x, axis=1)))
+        else:
+            total = max(x.sum(axis=1, dtype=object))
+        for dtype, limit in table:
+            if total <= limit:
+                return x, dtype
+        raise CountOverflowError(
+            f"a row sums to {total} tokens, past the int64 limit of "
+            f"{table[-1][1]} for balancers up to {max_p} wide"
+        )
+
+
+class CountSemantics(_ConservingSemantics):
     """Quiescent-count transfer (the original plan kernels)."""
 
     name = "count"
 
+    def _offset_values(self, p: int) -> np.ndarray:
+        # Rounding offsets p - 1 - j: out[j] = (tot + p - 1 - j) // p.
+        return np.arange(p - 1, -1, -1)
+
     def segment(self, state, scratch, in_flat, p: int, k: int, off: int, ob: int) -> None:
+        size = p * k
+        g = scratch.gather[:size]
+        state.take(in_flat[off : off + size], axis=0, out=g, mode="clip")
         if p == 2:
-            g = scratch.gather[: 2 * k]
-            np.take(state, in_flat[off : off + 2 * k], axis=0, out=g, mode="clip")
             top = state[ob : ob + k]
             bot = state[ob + k : ob + 2 * k]
             np.add(g[:k], g[k:], out=bot)  # totals
@@ -111,20 +203,22 @@ class CountSemantics(Semantics):
             np.right_shift(top, 1, out=top)  # ceil(t/2)
             np.right_shift(bot, 1, out=bot)  # floor(t/2)
             return
-        size = p * k
-        g = scratch.gather[:size]
-        np.take(state, in_flat[off : off + size], axis=0, out=g, mode="clip")
         vals = g.reshape(p, k, -1)
         tot = scratch.totals[:k]
-        vals.sum(axis=0, out=tot)
+        np.add.reduce(vals, axis=0, out=tot, dtype=tot.dtype)
         out = state[ob : ob + size].reshape(p, k, -1)
-        # out[j] = (tot - j + p - 1) // p, computed without temporaries.
-        np.subtract(tot[None, :, :], self._offset_col(p), out=out)
-        np.add(out, p - 1, out=out)
-        np.floor_divide(out, p, out=out)
+        # out[j] = ceil((tot - j) / p), computed without temporaries.
+        np.add(tot[None, :, :], self._offset_col(p, tot.dtype), out=out)
+        if p & (p - 1):
+            np.floor_divide(out, p, out=out)
+        else:
+            np.right_shift(out, p.bit_length() - 1, out=out)
 
     def apply_overridden(self, net, x: np.ndarray, overrides: dict) -> np.ndarray:
         """Per-balancer batched count sweep honoring semantic overrides."""
+        # The sweep runs in int64: refuse totals it would wrap.
+        max_p = max((b.width for b in net.balancers), default=1)
+        self.prepare(x, self.limits(net.width, max_p))
         batch = x.shape[0]
         in_idx, out_idx = net.io_arrays()
         _, in_concat, out_concat, bounds = net.wire_arrays()
@@ -185,14 +279,23 @@ class SortSemantics(Semantics):
 
     name = "sort"
 
-    def prepare(self, x: np.ndarray) -> np.ndarray:
-        # Comparators are dtype-generic: evaluate in the caller's dtype.
-        return np.ascontiguousarray(x)
+    def prepare(self, x: np.ndarray, limits: tuple) -> tuple[np.ndarray, np.dtype]:
+        # Comparators are dtype-generic and only move values: integers run
+        # in the narrowest type holding [min, max], anything else as given.
+        x = np.ascontiguousarray(x)
+        if x.dtype.kind not in "iu" or not x.size:
+            return x, x.dtype
+        lo = int(np.minimum.reduce(x, axis=None))
+        hi = int(np.maximum.reduce(x, axis=None))
+        for dtype, dlo, dhi in _SORT_DTYPES:
+            if dlo <= lo and hi <= dhi:
+                return x, dtype
+        return x, x.dtype
 
     def segment(self, state, scratch, in_flat, p: int, k: int, off: int, ob: int) -> None:
         size = p * k
         g = scratch.gather[:size]
-        np.take(state, in_flat[off : off + size], axis=0, out=g, mode="clip")
+        state.take(in_flat[off : off + size], axis=0, out=g, mode="clip")
         if p == 2 and scratch.numeric:
             # Branchless width-2 min/max: largest value on the top wire.
             np.maximum(g[:k], g[k:], out=state[ob : ob + k])
@@ -242,7 +345,7 @@ class SortSemantics(Semantics):
         return state[list(net.outputs)].T
 
 
-class TokenSemantics(Semantics):
+class TokenSemantics(_ConservingSemantics):
     """Batched mod-``p`` token routing, stepped to quiescence per layer.
 
     Port ``j`` of a balancer that saw ``T`` arrivals from a fresh state
@@ -257,7 +360,7 @@ class TokenSemantics(Semantics):
     def segment(self, state, scratch, in_flat, p: int, k: int, off: int, ob: int) -> None:
         size = p * k
         g = scratch.gather[:size]
-        np.take(state, in_flat[off : off + size], axis=0, out=g, mode="clip")
+        state.take(in_flat[off : off + size], axis=0, out=g, mode="clip")
         if p == 2:
             top = state[ob : ob + k]
             bot = state[ob + k : ob + 2 * k]
@@ -268,16 +371,20 @@ class TokenSemantics(Semantics):
             return
         vals = g.reshape(p, k, -1)
         tot = scratch.totals[:k]
-        vals.sum(axis=0, out=tot)
+        np.add.reduce(vals, axis=0, out=tot, dtype=tot.dtype)
         # The gather rows are dead after the totals reduction: reuse row 0
         # as the residue buffer (T mod p) so the kernel allocates nothing.
         rem = g[:k]
-        np.remainder(tot, p, out=rem)
-        np.floor_divide(tot, p, out=tot)  # tot now holds the full rounds
+        if p & (p - 1):
+            np.remainder(tot, p, out=rem)
+            np.floor_divide(tot, p, out=tot)  # tot now holds the full rounds
+        else:
+            np.bitwise_and(tot, p - 1, out=rem)
+            np.right_shift(tot, p.bit_length() - 1, out=tot)
         out = state[ob : ob + size].reshape(p, k, -1)
-        # out[j] = rounds + (j < rem): clip(rem - j, 0, 1) is the indicator.
-        np.subtract(rem[None, :, :], self._offset_col(p), out=out)
-        np.clip(out, 0, 1, out=out)
+        # out[j] = rounds + (j < rem), the indicator written straight into
+        # the output rows (bool -> integer is a safe cast).
+        np.greater(rem[None, :, :], self._offset_col(p, rem.dtype), out=out)
         np.add(out, tot[None, :, :], out=out)
 
     def apply_overridden(self, net, x: np.ndarray, overrides: dict) -> np.ndarray:

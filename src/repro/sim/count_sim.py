@@ -57,6 +57,9 @@ def propagate_counts(net: Network, x: np.ndarray, workers: int | None = None) ->
     sharing the network's execution plan — rows are independent, so results
     are byte-identical to the serial path.  Small batches fall back to
     serial evaluation automatically.
+
+    Raises :class:`~repro.core.semantics.CountOverflowError` when a row's
+    token total (plus the widest balancer) does not fit in int64.
     """
     x = np.asarray(x, dtype=np.int64)
     single = x.ndim == 1

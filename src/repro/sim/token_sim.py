@@ -56,7 +56,8 @@ def quiescent_counts(net: Network, counts: np.ndarray) -> np.ndarray:
     mod-``p`` token kernel on the plan substrate: one executor sweep instead
     of ``O(tokens × depth)`` Python hops.  Fault-mutant networks take the
     per-balancer override sweep (a stuck balancer routes every token to its
-    stuck port).
+    stuck port).  A row total past int64 raises
+    :class:`~repro.core.semantics.CountOverflowError`.
     """
     x = np.asarray(counts, dtype=np.int64)
     single = x.ndim == 1

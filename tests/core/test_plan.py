@@ -135,6 +135,19 @@ class TestEquivalence:
         assert np.array_equal(serial, sharded)
         plan_executor(net).close_pool()
 
+    def test_workers_keep_the_sort_dtype(self):
+        """Sharded sorts are byte-identical to serial ones: floats are not
+        truncated to int64 on the way to the workers."""
+        net = k_network([2, 2])
+        ex = plan_executor(net, semantics="sort")
+        x = np.random.default_rng(0).random((8, net.width)) * 10
+        try:
+            sharded = ex.run_parallel(x, workers=2)
+        finally:
+            ex.close_pool()
+        assert sharded.dtype == x.dtype
+        assert sharded.tobytes() == ex.run(x).tobytes()
+
     def test_small_batch_falls_back_to_serial(self):
         net = k_network([2, 2])
         ex = plan_executor(net)

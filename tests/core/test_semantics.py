@@ -21,10 +21,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
+import repro.core.plan as plan_module
+from repro import obs
 from repro.core import Network, NetworkBuilder
 from repro.core.compiled import compile_network
-from repro.core.plan import plan_executor
-from repro.core.semantics import _MAX_CE_WIDTH, _ce_pairs, get_semantics
+from repro.core.plan import PlanExecutor, lower_network, plan_executor
+from repro.core.semantics import (
+    _MAX_CE_WIDTH,
+    CountOverflowError,
+    _ce_pairs,
+    get_semantics,
+)
 from repro.faults.harness import run_conformance, verifiers_for_backend
 from repro.faults.mutator import stuck_balancer
 from repro.networks import k_network, l_network, r_network
@@ -318,3 +326,253 @@ class TestSteadyStateAllocation:
             evaluate_comparators(net, np.roll(vec, shift))
         assert ex.buffer_allocs == allocs_after_warmup, "steady state allocated"
         assert ex.buffer_reuses == reuses_before + 5
+
+
+# ---------------------------------------------------------------------------
+# Narrow evaluation dtypes, row tiles, and the overflow contract
+# ---------------------------------------------------------------------------
+
+#: The integer types a sort may be evaluated in, in the executor's order.
+NARROWING_ORDER = (
+    np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint32, np.int64, np.uint64,
+)
+
+
+def narrowest_holding(lo: int, hi: int) -> np.dtype:
+    """The spec of the sort narrowing: first type whose range holds [lo, hi]."""
+    return next(
+        np.dtype(t)
+        for t in NARROWING_ORDER
+        if np.iinfo(t).min <= lo and hi <= np.iinfo(t).max
+    )
+
+
+def widest_balancer(net: Network) -> int:
+    return max((b.width for b in net.balancers), default=1)
+
+
+def eval_dtypes(ex: PlanExecutor) -> set[str]:
+    """The dtypes an executor's scratch pool holds buffers for."""
+    return {dtype for _, dtype in ex.scratch_stats()["pooled_keys"]}
+
+
+def tile_rows(ex: PlanExecutor, itemsize: int) -> int:
+    """The row-tile rule: ``max(64, TILE_BUDGET // (num_wires * itemsize))``."""
+    return max(64, plan_module.TILE_BUDGET // (ex.plan.num_wires * itemsize))
+
+
+def row_with_sum(rng, total: int, width: int) -> np.ndarray:
+    return rng.multinomial(total, np.full(width, 1.0 / width)).astype(np.int64)
+
+
+class TestNarrowDtypes:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        random_networks(),
+        st.sampled_from([(np.int8, np.int16), (np.int16, np.int32), (np.int32, np.int64)]),
+        st.integers(-2, 2),
+        st.integers(1, 5),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_count_token_row_sums_straddle_each_threshold(
+        self, net, edge, delta, rows, seed
+    ):
+        """The largest row sum sits within 2 of ``iinfo.max - widest
+        balancer``: at or under it the batch runs in the narrow type, past
+        it in the next, and outputs never change."""
+        narrow, wide = edge
+        top = int(np.iinfo(narrow).max) - widest_balancer(net) + delta
+        rng = np.random.default_rng(seed)
+        x = np.stack(
+            [row_with_sum(rng, top, net.width)]
+            + [row_with_sum(rng, int(rng.integers(0, top + 1)), net.width) for _ in range(rows)]
+        )
+        x = x[rng.permutation(len(x))]
+        want = legacy_count_walker(net, x)
+        expected = np.dtype(narrow if delta <= 0 else wide).name
+        for sem, evaluate in (("count", propagate_counts), ("token", quiescent_counts)):
+            out = evaluate(net, x)
+            assert out.dtype == np.int64
+            assert out.tobytes() == want.tobytes()
+            ex = PlanExecutor(lower_network(net), semantics=sem)
+            assert ex.run(x).tobytes() == want.tobytes()
+            assert eval_dtypes(ex) == {expected}
+        top_row = int(np.argmax(x.sum(axis=1)))
+        assert list(want[top_row]) == list(propagate_counts_reference(net, x[top_row]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        random_networks(),
+        st.sampled_from([np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint32]),
+        st.booleans(),
+        st.integers(-1, 1),
+        st.data(),
+    )
+    def test_sort_ranges_at_each_integer_edge(self, net, edge_type, at_max, delta, data):
+        """One end of the batch's range sits at a type's min or max (or one
+        past it), the other anywhere inside the type, negatives included."""
+        info = np.iinfo(edge_type)
+        edge = (int(info.max) if at_max else int(info.min)) + delta
+        other = data.draw(st.integers(int(info.min), int(info.max)))
+        lo, hi = min(edge, other), max(edge, other)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        x = rng.integers(lo, hi, size=(4, net.width), endpoint=True, dtype=np.int64)
+        x.flat[rng.permutation(x.size)[:2]] = (lo, hi)
+        out = evaluate_comparators(net, x)
+        assert out.dtype == np.int64
+        assert out.tobytes() == legacy_sort_walker(net, x).tobytes()
+        ex = PlanExecutor(lower_network(net), semantics="sort")
+        assert ex.run(x).tobytes() == out.tobytes()
+        assert eval_dtypes(ex) == {narrowest_holding(lo, hi).name}
+
+    @pytest.mark.parametrize(
+        ("lo", "hi", "evaluated"),
+        [
+            (0, 2**63, "uint64"),
+            (2**63 - 1, 2**64 - 1, "uint64"),
+            (0, 2**32, "int64"),
+            (0, 2**16 - 1, "uint16"),
+        ],
+    )
+    def test_sort_uint64_past_int64(self, lo, hi, evaluated):
+        net = k_network([2, 3])
+        rng = np.random.default_rng(hi % 1000)
+        x = rng.integers(lo, hi, size=(16, net.width), endpoint=True, dtype=np.uint64)
+        x[0, :2] = (lo, hi)
+        ex = PlanExecutor(lower_network(net), semantics="sort")
+        out = ex.run(x)
+        assert out.dtype == np.uint64
+        assert out.tobytes() == legacy_sort_walker(net, x).tobytes()
+        assert evaluate_comparators(net, x).tobytes() == out.tobytes()
+        assert eval_dtypes(ex) == {evaluated}
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int32, np.uint16, np.bool_])
+    def test_sort_other_dtypes_keep_caller_dtype(self, dtype):
+        """Floats (integral-valued ones too) and bools are evaluated as
+        given; narrower integer inputs still narrow; output is always the
+        caller's dtype."""
+        net = l_network([2, 3])
+        rng = np.random.default_rng(3)
+        x = rng.integers(-40, 40, size=(32, net.width))
+        if np.dtype(dtype).kind == "u":
+            x = np.abs(x)
+        x = x.astype(dtype)
+        if np.dtype(dtype).kind == "f":
+            x[0, 0], x[1, 1] = np.inf, -np.inf
+            x[2:] += np.asarray(0.25, dtype=dtype)
+        ex = PlanExecutor(lower_network(net), semantics="sort")
+        out = ex.run(x)
+        assert out.dtype == x.dtype
+        assert out.tobytes() == legacy_sort_walker(net, x).tobytes()
+        if np.dtype(dtype).kind in "iu":
+            assert eval_dtypes(ex) == {narrowest_holding(int(x.min()), int(x.max())).name}
+        else:
+            assert eval_dtypes(ex) == {np.dtype(dtype).name}
+
+
+    @pytest.mark.parametrize("sem", ["count", "token"])
+    def test_negative_counts_keep_int64_arithmetic(self, sem):
+        """``PlanExecutor.run`` does not validate (the public evaluators
+        do): a negative count skips narrowing and matches the walker."""
+        net = k_network([2, 3])
+        x = np.random.default_rng(4).integers(-300, 300, size=(16, net.width))
+        ex = PlanExecutor(lower_network(net), semantics=sem)
+        assert ex.run(x).tobytes() == legacy_count_walker(net, x).tobytes()
+        assert eval_dtypes(ex) == {"int64"}
+
+
+class TestRowTiles:
+    @settings(max_examples=15, deadline=None)
+    @given(random_networks(), st.sampled_from(["count", "sort", "token"]), st.data())
+    def test_batches_around_the_tile(self, net, sem, data):
+        """With the smallest tile (64 rows), batches of 1, tile - 1, tile,
+        tile + 1 and 3 tile + 5 rows match the legacy walkers, and tail
+        tiles run in the full tile's buffers (no pool key of their own)."""
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(plan_module, "TILE_BUDGET", 1)
+            ex = PlanExecutor(lower_network(net), semantics=sem)
+            tile = tile_rows(ex, 1)
+        assert tile == 64
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        walker = legacy_sort_walker if sem == "sort" else legacy_count_walker
+        for batch in (1, tile - 1, tile, tile + 1, 3 * tile + 5):
+            x = rng.integers(0, 4, size=(batch, net.width), dtype=np.int64)
+            out = ex.run(x)
+            assert out.dtype == np.int64 and out.flags.c_contiguous
+            assert out.tobytes() == walker(net, x).tobytes()
+            if sem != "sort":  # first and last row: first and tail tile
+                for r in (0, batch - 1):
+                    assert list(out[r]) == list(propagate_counts_reference(net, x[r]))
+        # int8 throughout: one key per batch size up to the tile, then none.
+        assert ex.scratch_stats()["pooled_keys"] == [(1, "int8"), (63, "int8"), (64, "int8")]
+        assert ex.buffer_allocs == 3 and ex.buffer_reuses == 2
+
+    @pytest.mark.parametrize("sem", ["count", "sort", "token"])
+    def test_default_budget_tiles_an_int64_batch(self, sem):
+        """K(2^6) evaluated in int64 tiles at the module's default budget:
+        every batch size around the tile is byte-identical to the walkers
+        and to the per-balancer reference."""
+        net = k_network([2] * 6)
+        ex = PlanExecutor(lower_network(net), semantics=sem)
+        tile = tile_rows(ex, 8)
+        rng = np.random.default_rng(11)
+        high = 2**40 if sem != "sort" else 2**62
+        walker = legacy_sort_walker if sem == "sort" else legacy_count_walker
+        for batch in (1, tile - 1, tile, tile + 1, 3 * tile + 5):
+            x = rng.integers(0 if sem != "sort" else -high, high, size=(batch, net.width))
+            out = ex.run(x)
+            assert out.tobytes() == walker(net, x).tobytes()
+            if sem != "sort":
+                assert list(out[-1]) == list(propagate_counts_reference(net, x[-1]))
+        assert ex.scratch_stats()["pooled_keys"] == [
+            (1, "int64"), (tile - 1, "int64"), (tile, "int64"),
+        ]
+
+    def test_executor_span_reports_dtype_and_tiles(self):
+        net = k_network([2, 2, 2])
+        ex = PlanExecutor(lower_network(net))
+        tile = tile_rows(ex, 1)
+        with obs.capture():
+            ex.run(np.ones((3, net.width), dtype=np.int64))
+            ex.run(np.ones((2 * tile + 1, net.width), dtype=np.int64))
+            spans = obs.default_span_recorder().completed("executor")
+        assert [(s.fields["dtype"], s.fields["tiles"]) for s in spans] == [
+            ("int8", 1),
+            ("int8", 3),
+        ]
+
+
+class TestCountOverflow:
+    def test_exported_and_an_overflow_error(self):
+        assert repro.CountOverflowError is CountOverflowError
+        assert issubclass(CountOverflowError, OverflowError)
+
+    @pytest.mark.parametrize("evaluate", [propagate_counts, quiescent_counts])
+    def test_wrapping_batch_raises_instead_of_returning_zeros(self, evaluate):
+        net = k_network([2, 2])
+        with pytest.raises(CountOverflowError, match="int64 limit"):
+            evaluate(net, np.full((1, 4), 2**62))
+
+    @pytest.mark.parametrize("evaluate", [propagate_counts, quiescent_counts])
+    def test_loose_bound_falls_back_to_the_exact_check(self, evaluate):
+        """max * width overflows, the row sums do not: evaluate in int64."""
+        net = k_network([2, 2])
+        x = np.array([[2**62, 0, 0, 0], [0, 2**61, 2**61, 5]])
+        out = evaluate(net, x)
+        for row, want in zip(out, x):
+            assert list(row) == list(propagate_counts_reference(net, want))
+
+    @pytest.mark.parametrize("evaluate", [propagate_counts, quiescent_counts])
+    def test_limit_is_int64_max_minus_widest_balancer(self, evaluate):
+        net = k_network([2, 2])
+        limit = int(np.iinfo(np.int64).max) - widest_balancer(net)
+        ok = np.array([[limit - 3, 1, 1, 1]])
+        assert list(evaluate(net, ok)[0]) == list(propagate_counts_reference(net, ok[0]))
+        with pytest.raises(CountOverflowError):
+            evaluate(net, ok + np.array([[0, 0, 0, 1]]))
+
+    def test_fault_override_sweep_raises_too(self):
+        faulty = stuck_balancer(k_network([2, 2]), 0, 0)
+        for evaluate in (propagate_counts, quiescent_counts):
+            with pytest.raises(CountOverflowError):
+                evaluate(faulty, np.full(4, 2**62))

@@ -8,6 +8,7 @@ it enabled the profiler yields coherent hot-spot tables and a valid
 
 from __future__ import annotations
 
+import gc
 import json
 
 import numpy as np
@@ -75,6 +76,10 @@ class TestByteIdenticalResults:
 
 class TestInstrumentationHooks:
     def test_build_and_compile_events(self):
+        # An equal K(2,3) still alive in an earlier test's reference cycles
+        # (a CountingService) would make the weakly keyed plan/executor
+        # memo hit, and then nothing compiles: collect it first.
+        gc.collect()
         with obs.capture() as (reg, tr):
             net = k_network([2, 3])
             propagate_counts(net, np.zeros(net.width, dtype=np.int64))
